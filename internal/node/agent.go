@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -62,9 +63,13 @@ type Agent struct {
 	priceFrame wire.PriceFrame
 
 	// Flow endpoints.
-	source  map[uint16]*Flow  // flows sourced here, by flow ID
-	sinks   map[sinkKey]*Sink // flows terminating here
-	tcpSeen bool              // a TCP flow touches this node (δ signal)
+	source map[uint16]*Flow // flows sourced here, by flow ID
+	// sinks holds the flows terminating here, indexed by flow ID. Flow
+	// IDs are unique within an emulation (AddFlow numbers them), and a
+	// flow's sink lives in its source's interference domain, so one ID
+	// never names two sinks at the same agent.
+	sinks   []*Sink
+	tcpSeen bool // a TCP flow touches this node (δ signal)
 
 	// Forwarding statistics. Every data frame this agent ingests is
 	// counted in DataIn and ends up in exactly one of Consumed (local
@@ -74,11 +79,6 @@ type Agent struct {
 	Forwarded  int
 	Consumed   int
 	RouteDrops int
-}
-
-type sinkKey struct {
-	src    graph.NodeID
-	flowID uint16
 }
 
 func newAgent(em *Emulation, id graph.NodeID) *Agent {
@@ -94,7 +94,6 @@ func newAgent(em *Emulation, id graph.NodeID) *Agent {
 		sense:       make([][]graph.LinkID, em.numTechs),
 		busyScratch: make([]float64, em.Net.NumNodes()),
 		source:      map[uint16]*Flow{},
-		sinks:       map[sinkKey]*Sink{},
 	}
 	a.egress = em.Net.Out(id)
 	seen := make([]bool, em.numTechs)
@@ -377,13 +376,25 @@ func (a *Agent) onAck(f *wire.AckFrame) {
 // sinkFor returns (creating on demand) the sink state of a flow
 // terminating here.
 func (a *Agent) sinkFor(src graph.NodeID, flowID uint16) *Sink {
-	k := sinkKey{src, flowID}
-	s := a.sinks[k]
-	if s == nil {
-		s = newSink(a, src, flowID)
-		a.sinks[k] = s
-		a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
+	if s := a.PeekSink(src, flowID); s != nil {
+		return s
 	}
+	return a.newSinkFor(src, flowID)
+}
+
+// newSinkFor creates the sink of a flow on first sight, off the
+// per-packet path.
+func (a *Agent) newSinkFor(src graph.NodeID, flowID uint16) *Sink {
+	for int(flowID) >= len(a.sinks) {
+		a.sinks = append(a.sinks, nil)
+	}
+	if old := a.sinks[flowID]; old != nil {
+		panic(fmt.Sprintf("node: flow ID %d at node %d already terminates a flow from node %d, not %d",
+			flowID, a.id, old.src, src))
+	}
+	s := newSink(a, src, flowID)
+	a.sinks[flowID] = s
+	a.em.Engine.Every(a.em.cfg.ackInterval(), s.ackTick)
 	return s
 }
 
@@ -397,16 +408,23 @@ func (a *Agent) SinkFor(src graph.NodeID, flowID uint16) *Sink {
 // the read-only form for observers (SinkFor schedules an ack tick on
 // creation, which would perturb the trajectory under observation).
 func (a *Agent) PeekSink(src graph.NodeID, flowID uint16) *Sink {
-	return a.sinks[sinkKey{src, flowID}]
+	if int(flowID) < len(a.sinks) {
+		if s := a.sinks[flowID]; s != nil && s.src == src {
+			return s
+		}
+	}
+	return nil
 }
 
 // Sinks lists the sinks terminating at this node (for measurements),
 // ordered by (source node, flow ID) so callers that index into the
 // result select the same sink every run.
 func (a *Agent) Sinks() []*Sink {
-	out := make([]*Sink, 0, len(a.sinks))
+	var out []*Sink
 	for _, s := range a.sinks {
-		out = append(out, s)
+		if s != nil {
+			out = append(out, s)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].src != out[j].src {

@@ -30,7 +30,7 @@ func TestAllocsEmulationReportSlot(t *testing.T) {
 	// routing.SinglePath refresh (which legitimately allocates) stays
 	// outside the measured slots.
 	for _, ag := range em.Agents {
-		for _, s := range ag.sinks {
+		for _, s := range ag.Sinks() {
 			if s.reverse != nil {
 				s.reverseAt = 1e18
 			}
@@ -65,7 +65,7 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 	em.Run(5.05) // drain in-flight frames
 
 	for _, ag := range em.Agents {
-		for _, s := range ag.sinks {
+		for _, s := range ag.Sinks() {
 			if s.reverse != nil {
 				s.reverseAt = 1e18
 			}
@@ -85,5 +85,39 @@ func TestAllocsEmulationInstrumented(t *testing.T) {
 	}
 	if em.Engine.Recorder().Total() == 0 {
 		t.Error("recorder saw no events during the measured slots")
+	}
+}
+
+// TestAllocsSinkAdmitFlush guards the sink's per-packet reorder path:
+// once the ring has grown to the window, admitting out-of-order packets
+// and flushing them in order performs zero heap allocations, both for a
+// plain flow and for one whose packets carry transport metadata. The
+// run stays inside one seriesLog chunk, so the log's amortized chunk
+// allocation cannot hide in the average.
+func TestAllocsSinkAdmitFlush(t *testing.T) {
+	net, a, c, _ := figure1()
+	em := NewEmulation(net, Config{ExpectedDuration: 10}, 1)
+	for _, meta := range []interface{}{nil, &struct{}{}} {
+		s := newSink(em.Agents[c], a, 1)
+		s.route(0).seen = true
+		// Warm: a 300-packet gap grows the ring, then fills in.
+		for seq := uint32(300); seq > 0; seq-- {
+			s.admit(seq-1, 1500, meta)
+		}
+		for s.log.n%seriesChunkPoints != 1 {
+			s.admit(s.nextSeq, 1500, meta)
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			next := s.nextSeq
+			s.admit(next+2, 1500, meta)
+			s.admit(next+1, 1500, meta)
+			s.admit(next, 1500, meta)
+			s.admit(next, 1500, meta) // stale duplicate
+		}); avg != 0 {
+			t.Errorf("meta %v: steady-state admit/flush allocates %v per 3 packets, want 0", meta, avg)
+		}
+		if s.Lost != 0 || s.TotalPackets != int(s.nextSeq) {
+			t.Fatalf("guard drove the sink off its in-order path: %d lost, %d delivered of %d", s.Lost, s.TotalPackets, s.nextSeq)
+		}
 	}
 }

@@ -110,6 +110,9 @@ func (e *Emulation) AddFlow(spec FlowSpec, startAt float64) (*Flow, error) {
 		// sub-emulation rejects anything else naturally.
 		return e.doms[e.nodeDom[spec.Src]].AddFlow(spec, startAt)
 	}
+	if len(e.flows) >= math.MaxUint16 {
+		return nil, fmt.Errorf("node: flow IDs are 16-bit; %d flows already added", len(e.flows))
+	}
 	f := &Flow{
 		ID:     uint16(len(e.flows) + 1),
 		Src:    spec.Src,

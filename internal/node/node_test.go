@@ -46,6 +46,12 @@ func TestAddFlowValidation(t *testing.T) {
 	if _, err := em.AddFlow(FlowSpec{Src: a, Dst: c, Routes: routes}, 0); err != nil {
 		t.Errorf("valid flow rejected: %v", err)
 	}
+	// Flow IDs are 16-bit and must stay unique: the 65536th flow would
+	// wrap to an ID already in use.
+	em.flows = make([]*Flow, math.MaxUint16)
+	if _, err := em.AddFlow(FlowSpec{Src: a, Dst: c, Routes: routes}, 0); err == nil {
+		t.Error("flow with a wrapped 16-bit ID accepted")
+	}
 }
 
 func TestSingleLinkFlowReachesCapacity(t *testing.T) {

@@ -7,10 +7,19 @@ package node
 // log ~20 times over a long run, which dominated the emulation's byte
 // churn). The chunk-pointer slice is presized from the configured
 // duration when the emulation knows it.
+//
+// The log also keeps running per-bin sums at MeanRate's fixed
+// meanRateBin width. Points arrive in time order, so each bin sums the
+// same points in the same order as series(meanRateBin) and the sums are
+// bit-identical to it.
 type seriesLog struct {
 	chunks []*seriesChunk
-	n      int // total points
+	n      int       // total points
+	bins   []float64 // bins[i]: bits logged in [i, i+1)·meanRateBin
 }
+
+// meanRateBin is the bin width (s) MeanRate averages over.
+const meanRateBin = 0.5
 
 const seriesChunkPoints = 4096
 
@@ -27,6 +36,7 @@ func newSeriesLog(expectedDuration float64) *seriesLog {
 	if expectedDuration > 0 {
 		est := int(expectedDuration*1000)/seriesChunkPoints + 1
 		s.chunks = make([]*seriesChunk, 0, est)
+		s.bins = make([]float64, 0, int(expectedDuration/meanRateBin)+2)
 	}
 	return s
 }
@@ -40,6 +50,21 @@ func (s *seriesLog) add(t, b float64) {
 	c.times[i] = t
 	c.bits[i] = b
 	s.n++
+	bin := int(t / meanRateBin)
+	if bin >= len(s.bins) {
+		s.growBins(bin)
+	}
+	s.bins[bin] += b
+}
+
+// growBins extends bins to cover index bin. The capacity beyond len was
+// never written, so reslicing within it yields zeroed bins.
+func (s *seriesLog) growBins(bin int) {
+	if bin < cap(s.bins) {
+		s.bins = s.bins[:bin+1]
+		return
+	}
+	s.bins = append(s.bins, make([]float64, bin+1-len(s.bins))...)
 }
 
 // series bins the log into rates: returns bin midpoints (s) and rates

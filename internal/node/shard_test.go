@@ -202,7 +202,7 @@ func TestAllocsShardedRunSlot(t *testing.T) {
 
 	// Pin the cached reverse paths, as in TestAllocsEmulationReportSlot.
 	for _, ag := range em.Agents {
-		for _, s := range ag.sinks {
+		for _, s := range ag.Sinks() {
 			if s.reverse != nil {
 				s.reverseAt = 1e18
 			}

@@ -26,9 +26,9 @@ type routeState struct {
 // Sink is the destination-side state of one flow: per-route price and
 // sequence tracking, the reordering buffer, loss detection, delay
 // equalization, and acknowledgement generation. The per-packet path is
-// allocation-free: route state is dense, the reorder buffer holds plain
-// values, and the frames themselves return to the emulation's pool the
-// moment their fields are extracted.
+// allocation-free and map-free: route state is dense, the reorder buffer
+// is a ring of plain values, and the frames themselves return to the
+// emulation's pool the moment their fields are extracted.
 type Sink struct {
 	agent  *Agent
 	src    graph.NodeID
@@ -38,9 +38,15 @@ type Sink struct {
 	// first sight of a route).
 	routes []routeState
 
-	// Reordering.
+	// Reordering: ring[seq&(len(ring)-1)] holds the packet with sequence
+	// number seq for every seq in [nextSeq, nextSeq+len(ring)). The
+	// length is a power of two; admit doubles it when a packet lands
+	// beyond the window. metas runs parallel to ring and stays nil until
+	// a packet carries transport metadata, so a plain flow's ring costs
+	// 4 bytes per slot.
 	nextSeq uint32
-	buffer  map[uint32]bufEntry
+	ring    []bufEntry
+	metas   []interface{}
 	// Loss counters.
 	Lost int
 
@@ -59,20 +65,23 @@ type Sink struct {
 	lastData  float64
 }
 
-// bufEntry is one reordered packet waiting for its predecessors: the
-// fields deliver needs, held by value (the frame is long since back in
-// the pool).
+// bufEntry is one reordered packet waiting for its predecessors, held by
+// value (the frame is long since back in the pool); its metadata sits in
+// the same slot of Sink.metas. present marks an occupied ring slot.
 type bufEntry struct {
 	payloadLen uint16
-	meta       interface{}
+	present    bool
 }
+
+// sinkRingInit is the initial reorder-ring length (a power of two).
+const sinkRingInit = 64
 
 func newSink(a *Agent, src graph.NodeID, flowID uint16) *Sink {
 	return &Sink{
 		agent:     a,
 		src:       src,
 		flowID:    flowID,
-		buffer:    map[uint32]bufEntry{},
+		ring:      make([]bufEntry, sinkRingInit),
 		log:       newSeriesLog(a.em.cfg.ExpectedDuration),
 		firstSeen: a.em.Engine.Now(),
 		lastData:  a.em.Engine.Now(),
@@ -174,17 +183,55 @@ func (s *Sink) onData(p *dataPkt) {
 // a packet with sequence greater than S.
 func (s *Sink) admit(seq uint32, payloadLen uint16, meta interface{}) {
 	if seq >= s.nextSeq {
-		s.buffer[seq] = bufEntry{payloadLen: payloadLen, meta: meta}
+		for seq-s.nextSeq >= uint32(len(s.ring)) {
+			s.growRing()
+		}
+		i := s.slot(seq)
+		s.ring[i] = bufEntry{payloadLen: payloadLen, present: true}
+		if meta != nil && s.metas == nil {
+			s.metas = make([]interface{}, len(s.ring))
+		}
+		if s.metas != nil {
+			s.metas[i] = meta
+		}
 	}
 	s.flush()
 }
 
+// slot returns the ring index of sequence number seq.
+func (s *Sink) slot(seq uint32) uint32 { return seq & uint32(len(s.ring)-1) }
+
+// growRing doubles the reorder ring, re-placing the live window
+// [nextSeq, nextSeq+len) under the wider mask.
+func (s *Sink) growRing() {
+	old, oldMetas := s.ring, s.metas
+	s.ring = make([]bufEntry, 2*len(old))
+	if oldMetas != nil {
+		s.metas = make([]interface{}, len(s.ring))
+	}
+	for k := range old {
+		seq := s.nextSeq + uint32(k)
+		i, j := s.slot(seq), seq&uint32(len(old)-1)
+		s.ring[i] = old[j]
+		if oldMetas != nil {
+			s.metas[i] = oldMetas[j]
+		}
+	}
+}
+
 func (s *Sink) flush() {
 	for {
-		if e, ok := s.buffer[s.nextSeq]; ok {
-			s.deliver(s.nextSeq, e)
-			delete(s.buffer, s.nextSeq)
+		if i := s.slot(s.nextSeq); s.ring[i].present {
+			// Empty the slot before delivering: the ring must not
+			// retain meta.
+			e := s.ring[i]
+			s.ring[i] = bufEntry{}
+			var meta interface{}
+			if s.metas != nil {
+				meta, s.metas[i] = s.metas[i], nil
+			}
 			s.nextSeq++
+			s.deliver(s.nextSeq-1, e.payloadLen, meta)
 			continue
 		}
 		// nextSeq missing: lost if all active routes are past it.
@@ -221,14 +268,14 @@ func (s *Sink) allRoutesPast(seq uint32) bool {
 	return live > 0
 }
 
-func (s *Sink) deliver(seq uint32, e bufEntry) {
+func (s *Sink) deliver(seq uint32, payloadLen uint16, meta interface{}) {
 	now := s.agent.em.Engine.Now()
-	bytes := int(e.payloadLen)
+	bytes := int(payloadLen)
 	s.TotalBytes += int64(bytes)
 	s.TotalPackets++
 	s.log.add(now, float64(bytes)*8)
 	if s.OnDeliver != nil {
-		s.OnDeliver(seq, bytes, e.meta)
+		s.OnDeliver(seq, bytes, meta)
 	}
 }
 
@@ -237,17 +284,19 @@ func (s *Sink) RateSeries(binSeconds float64) ([]float64, []float64) {
 	return s.log.series(binSeconds)
 }
 
-// MeanRate returns average goodput (Mbps) between two absolute times.
+// MeanRate returns average goodput (Mbps) between two absolute times:
+// the mean of the 0.5 s RateSeries bins whose midpoints fall in
+// [from, to), read from the log's running bin sums.
 func (s *Sink) MeanRate(from, to float64) float64 {
-	ts, rates := s.log.series(0.5)
-	if len(ts) == 0 || to <= from {
+	bins := s.log.bins
+	if len(bins) == 0 || to <= from {
 		return 0
 	}
 	var sum float64
 	var n int
-	for i, t := range ts {
-		if t >= from && t < to {
-			sum += rates[i]
+	for i, b := range bins {
+		if t := (float64(i) + 0.5) * meanRateBin; t >= from && t < to {
+			sum += b / meanRateBin / 1e6
 			n++
 		}
 	}

@@ -67,11 +67,14 @@ type metric struct {
 	labels []Label
 	series string // rendered name{labels} key, unique per registry
 
-	val float64 // counter/gauge value
+	val float64    // counter/gauge value
+	h   *histogram // kind == KindHistogram only
+}
 
-	// Histogram state (kind == KindHistogram): cumulative bucket counts
-	// are computed at export; counts[i] holds the per-bucket (le
-	// bounds[i]) increment.
+// histogram is a histogram slot's state: cumulative bucket counts are
+// computed at export; counts[i] holds the per-bucket (le bounds[i])
+// increment.
+type histogram struct {
 	bounds []float64
 	counts []uint64
 	sum    float64
@@ -139,10 +142,10 @@ type Histogram struct{ m *metric }
 
 // Observe records one sample.
 func (h Histogram) Observe(v float64) {
-	m := h.m
-	if m == nil {
+	if h.m == nil {
 		return
 	}
+	m := h.m.h
 	for i, b := range m.bounds {
 		if v <= b {
 			m.counts[i]++
@@ -159,14 +162,18 @@ func (h Histogram) Observe(v float64) {
 // goroutine-safe: a registry belongs to one replication (or one
 // aggregator behind its own mutex), and its slots are updated by plain
 // writes.
+//
+// Registries hold a few dozen series, so register finds an existing one
+// by a linear scan instead of an index map: the fleet daemon keeps one
+// registry per sweep for as long as it runs, so every byte of a
+// registry is paid once per sweep.
 type Registry struct {
 	metrics []*metric
-	byKey   map[string]*metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: map[string]*metric{}}
+	return &Registry{}
 }
 
 // seriesKey renders the canonical name{k="v",...} identity of a series.
@@ -190,16 +197,17 @@ func seriesKey(name string, labels []Label) string {
 // register creates (or returns the existing) slot for a series.
 func (r *Registry) register(name, help string, kind Kind, bounds []float64, labels []Label) *metric {
 	key := seriesKey(name, labels)
-	if m := r.byKey[key]; m != nil {
-		return m
+	for _, m := range r.metrics {
+		if m.series == key {
+			return m
+		}
 	}
 	m := &metric{name: name, help: help, kind: kind, labels: labels, series: key}
 	if kind == KindHistogram {
-		m.bounds = append([]float64(nil), bounds...)
-		m.counts = make([]uint64, len(m.bounds))
+		b := append([]float64(nil), bounds...)
+		m.h = &histogram{bounds: b, counts: make([]uint64, len(b))}
 	}
 	r.metrics = append(r.metrics, m)
-	r.byKey[key] = m
 	return m
 }
 
@@ -227,7 +235,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // count.
 func (r *Registry) Merge(other *Registry) {
 	for _, om := range other.metrics {
-		m := r.register(om.name, om.help, om.kind, om.bounds, om.labels)
+		var bounds []float64
+		if om.h != nil {
+			bounds = om.h.bounds
+		}
+		m := r.register(om.name, om.help, om.kind, bounds, om.labels)
 		switch om.kind {
 		case KindCounter:
 			m.val += om.val
@@ -236,12 +248,12 @@ func (r *Registry) Merge(other *Registry) {
 				m.val = om.val
 			}
 		case KindHistogram:
-			if len(m.counts) == len(om.counts) {
-				for i := range om.counts {
-					m.counts[i] += om.counts[i]
+			if h, oh := m.h, om.h; h != nil && len(h.counts) == len(oh.counts) {
+				for i := range oh.counts {
+					h.counts[i] += oh.counts[i]
 				}
-				m.sum += om.sum
-				m.count += om.count
+				h.sum += oh.sum
+				h.count += oh.count
 			}
 		}
 	}
@@ -265,13 +277,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case KindHistogram:
 			cum := uint64(0)
-			for i, b := range m.bounds {
-				cum += m.counts[i]
+			h := m.h
+			for i, b := range h.bounds {
+				cum += h.counts[i]
 				fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_bucket", append(append([]Label(nil), m.labels...), Label{"le", formatFloat(b)})), cum)
 			}
-			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_bucket", append(append([]Label(nil), m.labels...), Label{"le", "+Inf"})), m.count)
-			fmt.Fprintf(bw, "%s %s\n", seriesKey(m.name+"_sum", m.labels), formatFloat(m.sum))
-			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_count", m.labels), m.count)
+			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_bucket", append(append([]Label(nil), m.labels...), Label{"le", "+Inf"})), h.count)
+			fmt.Fprintf(bw, "%s %s\n", seriesKey(m.name+"_sum", m.labels), formatFloat(h.sum))
+			fmt.Fprintf(bw, "%s %d\n", seriesKey(m.name+"_count", m.labels), h.count)
 		default:
 			fmt.Fprintf(bw, "%s %s\n", m.series, formatFloat(m.val))
 		}

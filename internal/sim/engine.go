@@ -9,6 +9,12 @@
 // completion before the next event fires, which keeps runs reproducible
 // from a seed without locking.
 //
+// The queue is a 4-ary min-heap of plain (at, seq, slot) values: sifting
+// moves no pointers, so it costs no GC write barriers, and every
+// comparison is an inlined float/integer compare instead of an
+// interface call. (at, seq) is a strict total order, so the pop sequence
+// is the same as any other correct priority queue's.
+//
 // Timers are pooled on a per-engine free list: steady-state workloads
 // (per-packet send timers, MAC transmission completions) schedule and
 // fire millions of timers without a single heap allocation. A fired or
@@ -20,7 +26,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/obs"
@@ -29,8 +34,6 @@ import (
 // Timer is a scheduled callback slot. Timers are owned by the engine's
 // pool; user code interacts with them through TimerRef handles.
 type Timer struct {
-	at  float64
-	seq uint64
 	// gen increments every time the slot is recycled; TimerRef handles
 	// carry the generation at grant time so stale handles go inert.
 	gen uint64
@@ -40,6 +43,7 @@ type Timer struct {
 	hfn   func(any)
 	arg   any
 	index int     // heap index, -1 when fired or cancelled
+	slot  int32   // position in owner.slots, fixed for the slot's life
 	owner *Engine // the engine whose pool owns this slot
 }
 
@@ -62,7 +66,7 @@ func (r TimerRef) Cancel() {
 	if t == nil || t.gen != r.gen || t.index < 0 {
 		return
 	}
-	heap.Remove(&t.owner.heap, t.index)
+	t.owner.remove(t.index)
 	t.owner.recycle(t)
 }
 
@@ -77,36 +81,21 @@ func (r TimerRef) When() float64 {
 	if !r.Active() {
 		return math.NaN()
 	}
-	return r.t.at
+	return r.t.owner.heap[r.t.index].at
 }
 
-type timerHeap []*Timer
+// entry is one heap element. It holds no pointers: the timer it stands
+// for is slots[slot].
+type entry struct {
+	at   float64
+	seq  uint64
+	slot int32
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x interface{}) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+// before is the heap order: earlier time first, FIFO among simultaneous
+// events.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is the event loop. The zero value is ready to use, starting at
@@ -114,7 +103,8 @@ func (h *timerHeap) Pop() interface{} {
 type Engine struct {
 	now   float64
 	seq   uint64
-	heap  timerHeap
+	heap  []entry  // 4-ary min-heap; children of i are 4i+1..4i+4
+	slots []*Timer // every timer this engine ever allocated, by slot
 	free  []*Timer // recycled timer slots
 	fired uint64   // intrinsic counter: events processed so far
 	rec   *obs.Recorder
@@ -161,7 +151,9 @@ func (e *Engine) alloc() *Timer {
 		e.free = e.free[:n-1]
 		return t
 	}
-	return &Timer{owner: e}
+	t := &Timer{owner: e, slot: int32(len(e.slots))}
+	e.slots = append(e.slots, t)
+	return t
 }
 
 // recycle returns a popped or removed slot to the pool. The generation
@@ -178,17 +170,84 @@ func (e *Engine) recycle(t *Timer) {
 // push allocates a slot at absolute time `at` with the next sequence
 // number. The (at, seq) pair is assigned exactly as it always was —
 // pooling recycles slots, never sequence numbers — so the heap's FIFO
-// tie-break among simultaneous events is unchanged.
+// tie-break among simultaneous events is unchanged. A NaN time would
+// compare false against everything and silently misorder the heap, so
+// it panics instead.
 func (e *Engine) push(at float64) *Timer {
+	if at != at {
+		panic("sim: event scheduled at NaN time")
+	}
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
 	t := e.alloc()
-	t.at = at
-	t.seq = e.seq
-	heap.Push(&e.heap, t)
+	t.index = len(e.heap)
+	e.heap = append(e.heap, entry{at: at, seq: e.seq, slot: t.slot})
+	e.up(t.index)
 	return t
+}
+
+// up sifts heap[i] toward the root, keeping each moved timer's index.
+func (e *Engine) up(i int) {
+	h := e.heap
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		e.slots[h[i].slot].index = i
+		i = p
+	}
+	h[i] = x
+	e.slots[x.slot].index = i
+}
+
+// down sifts heap[i] toward the leaves and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	h := e.heap
+	n := len(h)
+	x := h[i]
+	i0 := i
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		e.slots[h[i].slot].index = i
+		i = m
+	}
+	h[i] = x
+	e.slots[x.slot].index = i
+	return i != i0
+}
+
+// remove deletes heap[i]: the last entry takes its place and sifts down,
+// or up if it did not move down (a replacement from another subtree can
+// be earlier than i's parent).
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	if i == n {
+		e.heap = e.heap[:n]
+		return
+	}
+	e.heap[i] = e.heap[n]
+	e.heap = e.heap[:n]
+	if !e.down(i) && i > 0 {
+		e.up(i)
+	}
 }
 
 // Schedule runs fn after delay seconds of virtual time. A negative delay
@@ -273,11 +332,13 @@ func (p *Periodic) Stop() {
 // handler that immediately reschedules reuses it; any TimerRef to the
 // firing timer went stale at the generation bump.
 func (e *Engine) fire() {
-	next := heap.Pop(&e.heap).(*Timer)
-	e.now = next.at
+	root := e.heap[0]
+	next := e.slots[root.slot]
+	e.remove(0)
+	e.now = root.at
 	e.fired++
 	if e.rec != nil {
-		e.rec.Record(next.at, obs.RecTimerFire, 0, 0, 0)
+		e.rec.Record(root.at, obs.RecTimerFire, 0, 0, 0)
 	}
 	fn, hfn, arg := next.fn, next.hfn, next.arg
 	e.recycle(next)

@@ -210,20 +210,21 @@ func TestHeapEntriesAlwaysLive(t *testing.T) {
 		t.Fatalf("Pending = %d, want %d live timers", e.Pending(), live)
 	}
 	min := math.Inf(1)
-	for _, timer := range e.heap {
+	for _, ent := range e.heap {
+		timer := e.slots[ent.slot]
 		if timer.fn == nil && timer.hfn == nil {
 			t.Fatal("heap contains a dead entry; Pending/NextEventTime invariant broken")
 		}
-		if timer.at < min {
-			min = timer.at
+		if ent.at < min {
+			min = ent.at
 		}
 	}
 	if e.NextEventTime() != min {
 		t.Fatalf("NextEventTime = %v, want %v", e.NextEventTime(), min)
 	}
 	e.Run(5)
-	for _, timer := range e.heap {
-		if timer.fn == nil && timer.hfn == nil {
+	for _, ent := range e.heap {
+		if timer := e.slots[ent.slot]; timer.fn == nil && timer.hfn == nil {
 			t.Fatal("dead heap entry after partial run")
 		}
 	}
