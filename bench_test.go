@@ -402,8 +402,8 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // domain-sharded engine at 1, 2 and 4 workers. The trajectory is
 // bit-identical across the shard counts (TestScenarioShardedDeterminism);
 // only the wall-clock differs, and only when GOMAXPROCS > 1 — on a
-// single-core runner the sub-benchmarks measure the coordinator's
-// overhead instead. scripts/bench.sh records it in BENCH_SCENARIO.json.
+// single-core runner the sub-benchmarks measure the per-Run worker
+// spawns instead. scripts/bench.sh records it in BENCH_SCENARIO.json.
 func BenchmarkEmulationSecondSharded(b *testing.B) {
 	sc, err := scenario.Load("examples/scenarios/clusters.json")
 	if err != nil {

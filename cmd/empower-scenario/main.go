@@ -29,10 +29,11 @@
 //	                 multipath CC flows (default true)
 //	-shards N        domain-sharded emulation engine: run up to N parallel
 //	                 workers over the topology's interference domains
-//	                 (default 1; 0 = one worker per core). Never changes
-//	                 the numbers — the trajectory is bit-identical at any
-//	                 shard count; connected single-domain topologies run
-//	                 the classic engine regardless
+//	                 (default 1; 0 = one worker per core; negative values
+//	                 are rejected). Never changes the numbers — the
+//	                 trajectory is bit-identical at any shard count;
+//	                 connected single-domain topologies run the classic
+//	                 engine regardless
 //	-invariants      attach the runtime invariant checker (flow
 //	                 conservation, dead-link silence, rate bounds) to
 //	                 every replication, report per-reason drop counters,
@@ -114,7 +115,10 @@ func main() {
 	phases := flag.Bool("phases", false, "report the bind/run/collect wall-clock phase breakdown")
 	flag.Parse()
 
-	if *scPath == "" {
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "empower-scenario: -shards must be >= 0")
+	}
+	if *scPath == "" || *shards < 0 {
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -21,9 +21,10 @@
 //	-flows N       flows for figures 11 and 13
 //	-delta D       constraint margin δ
 //	-shards N      domain-shard workers per emulation (default 1; 0 = one
-//	               per core). The testbed floor is one interference
-//	               domain, so this only matters for sharded-engine
-//	               comparisons; it never changes the numbers
+//	               per core; negative values are rejected). The testbed
+//	               floor is one interference domain, so this only
+//	               matters for sharded-engine comparisons; it never
+//	               changes the numbers
 //	-metrics target  publish Prometheus metric snapshots: a file path is
 //	               rewritten every 2 s (atomic rename), ":8080" or
 //	               "host:port" serves /metrics over HTTP
@@ -80,6 +81,11 @@ func main() {
 	drops := flag.Bool("drops", false, "append a per-reason MAC drop report after the figures")
 	flag.Parse()
 
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "empower-testbed: -shards must be >= 0")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *runs > 0 {
 		*repeats = *runs
 	}

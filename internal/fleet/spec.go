@@ -61,7 +61,12 @@ type rawSpec struct {
 	Frac  float64 `json:"frac,omitempty"`
 	// Manage attaches the route manager to CC schemes (default true).
 	Manage *bool `json:"manage,omitempty"`
-	// Shards enables the domain-sharded engine inside each replication.
+	// Shards enables the domain-sharded engine inside each replication
+	// (node.Config.Shards). Omitted or 0 runs the classic single engine,
+	// unlike the CLIs, whose default -shards 1 decomposes and whose
+	// -shards 0 means one worker per core: a multi-domain scenario such
+	// as clusters.json submitted without shards follows a different
+	// trajectory than the CLI at the same seed.
 	Shards int `json:"shards,omitempty"`
 	// Invariants attaches the runtime invariant checker per replication.
 	Invariants bool `json:"invariants,omitempty"`

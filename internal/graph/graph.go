@@ -270,9 +270,9 @@ func (b *Builder) Build() *Network {
 	adjFlat := make([]LinkID, 2*nl)
 	pos := 0
 	for n := 0; n < nn; n++ {
-		net.out[n] = adjFlat[pos:pos : pos+degOut[n]]
+		net.out[n] = adjFlat[pos : pos : pos+degOut[n]]
 		pos += degOut[n]
-		net.in[n] = adjFlat[pos:pos : pos+degIn[n]]
+		net.in[n] = adjFlat[pos : pos : pos+degIn[n]]
 		pos += degIn[n]
 	}
 	for i := range net.Links {
@@ -303,7 +303,7 @@ func (b *Builder) Build() *Network {
 	intFlat := make([]LinkID, total)
 	pos = 0
 	for i := 0; i < nl; i++ {
-		row := intFlat[pos:pos : pos+count[i]]
+		row := intFlat[pos : pos : pos+count[i]]
 		for j := 0; j < i; j++ {
 			p := j*nl + i
 			if bits[p>>6]&(1<<(p&63)) != 0 {

@@ -90,14 +90,15 @@ type Config struct {
 	// Shards enables the sharded engine for topologies that decompose
 	// into several interference domains (optimal.InterferenceDomains):
 	// 0 (the zero value) always runs the classic single engine; n >= 1
-	// runs one pooled engine per domain with up to n worker goroutines
-	// (1 = sequential, still domain-decomposed); ShardsAuto sizes the
-	// worker pool to GOMAXPROCS. The decomposition depends only on the
-	// topology — never on the shard count — and each domain draws from
-	// its own seed split, so the trajectory is bit-identical at any
-	// Shards >= 1. A single-domain topology (every connected network)
-	// always takes the classic engine, making Shards >= 1 byte-identical
-	// to the zero value there.
+	// runs one pooled engine per domain, advanced by up to n worker
+	// goroutines per Run (1 = sequential, still domain-decomposed);
+	// ShardsAuto sizes the worker pool to GOMAXPROCS. Domains are closed,
+	// so no event ever crosses between them. The decomposition depends
+	// only on the topology — never on the shard count — and each domain
+	// draws from its own seed split, so the trajectory is bit-identical
+	// at any Shards >= 1. A single-domain topology (every connected
+	// network) always takes the classic engine, making Shards >= 1
+	// byte-identical to the zero value there.
 	Shards int
 	// Recorder, when positive, attaches a flight recorder of that many
 	// records (rounded up to a power of two) to every domain engine and
@@ -233,7 +234,7 @@ type Emulation struct {
 	doms    []*Emulation
 	nodeDom []int
 	linkDom []int
-	sh      *sim.Sharded
+	workers int
 }
 
 func (e *Emulation) newPkt() *dataPkt {
@@ -419,11 +420,10 @@ func (e *Emulation) macDrop(_ graph.LinkID, pkt mac.Packet, _ mac.DropReason) {
 }
 
 // Run advances the emulation to absolute virtual time t (seconds). A
-// sharded emulation advances every domain engine through the
-// conservative-window coordinator.
+// sharded emulation advances every domain engine to t (see runDomains).
 func (e *Emulation) Run(t float64) {
-	if e.sh != nil {
-		e.sh.Run(t)
+	if e.doms != nil {
+		e.runDomains(t)
 		return
 	}
 	e.Engine.Run(t)

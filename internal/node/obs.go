@@ -3,7 +3,6 @@ package node
 import (
 	"repro/internal/mac"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // This file is the node layer's face of internal/obs: accessors over the
@@ -56,15 +55,6 @@ func (e *Emulation) EventsFired() uint64 {
 		n += e.Domain(d).Engine.Fired()
 	}
 	return n
-}
-
-// ShardStats returns the sharded coordinator's window statistics (zero
-// for the classic single-engine emulation).
-func (e *Emulation) ShardStats() sim.WindowStats {
-	if e.sh == nil {
-		return sim.WindowStats{}
-	}
-	return e.sh.Stats()
 }
 
 // DomainRecorder returns domain d's flight recorder, or nil when
@@ -128,15 +118,6 @@ func (e *Emulation) SampleMetrics(r *obs.Registry) {
 			Add(float64(total.Dropped[reason]))
 	}
 
-	ws := e.ShardStats()
-	r.Counter("empower_shard_windows_total",
-		"conservative windows executed by the sharded coordinator").Add(float64(ws.Windows))
-	r.Counter("empower_shard_lookahead_stalls_total",
-		"windows cut short of the run horizon by the lookahead").Add(float64(ws.Stalls))
-	r.Counter("empower_shard_cross_events_total",
-		"cross-domain events drained at window barriers").Add(float64(ws.CrossDrained))
-	r.Gauge("empower_shard_cross_queue_depth",
-		"deepest cross-domain queue observed at a barrier").Max(float64(ws.MaxCrossDepth))
 	r.Gauge("empower_domains",
 		"interference domains of the emulated topology").Max(float64(e.NumDomains()))
 }

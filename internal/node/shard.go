@@ -2,10 +2,10 @@ package node
 
 import (
 	"runtime"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/optimal"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -18,32 +18,31 @@ const domainSeedBase = 3_000_000
 // newSharded builds the sharded form of the emulation: one closed
 // sub-emulation per interference domain, each with its own pooled
 // engine, MAC, agents, free lists, and RNG (split deterministically from
-// the base seed), coordinated by sim.Sharded.
+// the base seed), advanced by runDomains.
 //
 // The decomposition merges links across interference and shared
 // endpoints (optimal.InterferenceDomains), which closes each domain
 // under every interaction the emulation has — MAC contention, frame
 // forwarding, price earshot, flow paths. Domains therefore exchange no
-// events at runtime and the coordinator's lookahead stays at its
-// infinite default: each Run is a single conservative window. The
-// decomposition and the per-domain seeds depend only on the topology and
-// the base seed — never on Config.Shards, which merely caps the worker
-// pool — so the trajectory is bit-identical at any shard count.
+// events at runtime, and each engine can run to the horizon on its own.
+// The decomposition and the per-domain seeds depend only on the topology
+// and the base seed — never on Config.Shards, which merely caps the
+// worker pool — so the trajectory is bit-identical at any shard count.
 func newSharded(net *graph.Network, cfg Config, seed int64, dec *optimal.Domains) *Emulation {
+	workers := cfg.Shards
+	if workers == ShardsAuto {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	e := &Emulation{
 		Net:     net,
 		cfg:     cfg,
 		nodeDom: dec.Node,
 		linkDom: dec.Link,
 		doms:    make([]*Emulation, dec.Num),
-	}
-	workers := cfg.Shards
-	if workers == ShardsAuto {
-		workers = runtime.GOMAXPROCS(0)
+		workers: max(1, min(workers, dec.Num)),
 	}
 	subCfg := cfg
 	subCfg.Shards = 0
-	engines := make([]*sim.Engine, dec.Num)
 	own := make([]bool, net.NumNodes())
 	for d := range e.doms {
 		for n := range own {
@@ -52,11 +51,8 @@ func newSharded(net *graph.Network, cfg Config, seed int64, dec *optimal.Domains
 		// Each domain works on its own clone: links are deep-copied, so
 		// capacity mutations stay domain-local, while the immutable
 		// topology (nodes, interference, adjacency) is shared.
-		sub := newEmulationOwned(net.Clone(), subCfg, stats.SplitSeed(seed, domainSeedBase+d), own)
-		e.doms[d] = sub
-		engines[d] = sub.Engine
+		e.doms[d] = newEmulationOwned(net.Clone(), subCfg, stats.SplitSeed(seed, domainSeedBase+d), own)
 	}
-	e.sh = sim.NewSharded(engines, workers)
 	// The merged agent view: Agents[n] is node n's agent in its owning
 	// domain, so Agent() and post-run measurement work unchanged.
 	e.Agents = make([]*Agent, net.NumNodes())
@@ -64,6 +60,31 @@ func newSharded(net *graph.Network, cfg Config, seed int64, dec *optimal.Domains
 		e.Agents[n] = e.doms[dec.Node[n]].Agents[n]
 	}
 	return e
+}
+
+// runDomains advances every domain engine to t. With one worker the
+// domains run in order on the caller's goroutine; otherwise domain d runs
+// on worker d mod W. Each domain is touched by exactly one goroutine per
+// Run and domains share no state, so the assignment never affects the
+// trajectory, and every engine clock ends exactly at t.
+func (e *Emulation) runDomains(t float64) {
+	if e.workers == 1 {
+		for _, d := range e.doms {
+			d.Engine.Run(t)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(e.workers)
+	for w := 0; w < e.workers; w++ {
+		go func() {
+			defer wg.Done()
+			for d := w; d < len(e.doms); d += e.workers {
+				e.doms[d].Engine.Run(t)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Sharded reports whether this emulation runs the domain-sharded engine.
@@ -105,9 +126,4 @@ func (e *Emulation) LinkDomain(l graph.LinkID) int {
 
 // Workers returns the worker-goroutine cap of the sharded engine (1 for
 // the classic emulation).
-func (e *Emulation) Workers() int {
-	if e.sh == nil {
-		return 1
-	}
-	return e.sh.Workers()
-}
+func (e *Emulation) Workers() int { return max(1, e.workers) }

@@ -52,22 +52,32 @@ func clusterNet(k int) (*graph.Network, []clusterFlow) {
 	return net, flows
 }
 
-// shardedFingerprint runs the cluster workload at a shard count and
-// folds the full observable trajectory — delivered bytes, exact
-// congestion-control rates, forwarding counters — into a string.
-func shardedFingerprint(t *testing.T, shards int, seconds float64) string {
+// shardedFingerprint runs the cluster workload at a shard count,
+// advancing in Run calls of `step` seconds, and folds the full observable
+// trajectory — delivered bytes, exact congestion-control rates,
+// forwarding counters — into a string. The fifth cluster carries no
+// flow; after every Run each domain clock, the idle one included, must
+// sit exactly at the run horizon.
+func shardedFingerprint(t *testing.T, shards int, seconds, step float64) string {
 	t.Helper()
-	net, cflows := clusterNet(4)
+	net, cflows := clusterNet(5)
 	em := NewEmulation(net, Config{Estimation: true, Shards: shards}, 77)
 	var flows []*Flow
-	for _, cf := range cflows {
+	for _, cf := range cflows[:4] {
 		fl, err := em.AddFlow(FlowSpec{Src: cf.src, Dst: cf.dst, Routes: cf.routes, Kind: TrafficSaturated}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flows = append(flows, fl)
 	}
-	em.Run(seconds)
+	for now := step; now <= seconds+1e-9; now += step {
+		em.Run(now)
+		for d := 0; d < em.NumDomains(); d++ {
+			if c := em.Domain(d).Engine.Now(); c != now {
+				t.Fatalf("shards=%d: domain %d clock %g after Run(%g)", shards, d, c, now)
+			}
+		}
+	}
 	out := ""
 	for i, fl := range flows {
 		s := em.Agent(fl.Dst).SinkFor(fl.Src, fl.ID)
@@ -85,20 +95,26 @@ func shardedFingerprint(t *testing.T, shards int, seconds float64) string {
 // the node layer: the same seed yields a bit-identical trajectory at any
 // shard count, because the domain decomposition and the per-domain seed
 // splits depend only on the topology — Shards merely caps the worker
-// pool.
+// pool. Advancing in 0.25-s Run calls lands on the same trajectory as one
+// Run call.
 func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	seconds := 12.0
 	if testing.Short() {
 		seconds = 4.0
 	}
-	ref := shardedFingerprint(t, 1, seconds)
+	ref := shardedFingerprint(t, 1, seconds, seconds)
 	for _, shards := range []int{2, 4, ShardsAuto} {
-		if got := shardedFingerprint(t, shards, seconds); got != ref {
+		if got := shardedFingerprint(t, shards, seconds, seconds); got != ref {
 			t.Fatalf("shards=%d diverged from shards=1:\n--- shards=1\n%s--- shards=%d\n%s", shards, ref, shards, got)
 		}
 	}
-	if rerun := shardedFingerprint(t, 4, seconds); rerun != ref {
+	if rerun := shardedFingerprint(t, 4, seconds, seconds); rerun != ref {
 		t.Fatalf("shards=4 rerun diverged (nondeterminism within a shard count)")
+	}
+	for _, shards := range []int{1, 4} {
+		if got := shardedFingerprint(t, shards, seconds, 0.25); got != ref {
+			t.Fatalf("shards=%d in 0.25-s Run steps diverged from one Run call:\n--- one call\n%s--- steps\n%s", shards, ref, got)
+		}
 	}
 }
 
@@ -181,8 +197,8 @@ func TestShardedDispatch(t *testing.T) {
 // the sharded engine: with a sequential worker (Shards=1 spawns no
 // goroutines), a warm multi-domain emulation runs a full report slot
 // without a single heap allocation — each domain engine's pools work
-// exactly as in the classic engine, and the coordinator's window loop is
-// allocation-free.
+// exactly as in the classic engine, and advancing the domains in turn
+// is allocation-free.
 func TestAllocsShardedRunSlot(t *testing.T) {
 	net, cflows := clusterNet(2)
 	em := NewEmulation(net, Config{Estimation: true, Shards: 1}, 21)

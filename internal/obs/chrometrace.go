@@ -10,8 +10,7 @@ import (
 // trace-event JSON (the JSON-array format), readable in Perfetto or
 // chrome://tracing: one thread track per domain, every record an instant
 // event at its virtual time (microsecond timestamps = virtual seconds ×
-// 1e6). Window barriers render as their own named events, so a sharded
-// run's conservative windows are visible across the domain tracks.
+// 1e6).
 func WriteChromeTrace(w io.Writer, domains [][]Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
@@ -44,8 +43,6 @@ func WriteChromeTrace(w io.Writer, domains [][]Record) error {
 				emit(`{"name":"reroute flow %d","ph":"i","s":"p","ts":%.3f,"pid":1,"tid":%d,"args":{"routes":%d}}`, r.A, ts, d, r.B)
 			case RecScenarioEvent:
 				emit(`{"name":"scenario event","ph":"i","s":"p","ts":%.3f,"pid":1,"tid":%d,"args":{"kind":%d,"subject":%d}}`, ts, d, r.A, r.B)
-			case RecWindowBarrier:
-				emit(`{"name":"window barrier","ph":"i","s":"g","ts":%.3f,"pid":1,"tid":%d,"args":{"drained":%d}}`, ts, d, r.A)
 			default:
 				emit(`{"name":"%s","ph":"i","s":"t","ts":%.3f,"pid":1,"tid":%d}`, r.Kind, ts, d)
 			}

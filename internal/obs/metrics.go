@@ -11,8 +11,8 @@
 // Everything here is observational by construction. The hot layers keep
 // cheap intrinsic counters (plain integer fields bumped on their own
 // event loops) whether or not anything observes them; the registry
-// samples those counters into its slots at deterministic barriers (end
-// of a replication, a window barrier), so enabling metrics draws no RNG,
+// samples those counters into its slots at deterministic barriers (the
+// end of a replication), so enabling metrics draws no RNG,
 // reorders no events, and changes no output byte. The flight recorder is
 // the only true hot-path instrumentation and costs one ring-index write
 // per record behind a nil guard.

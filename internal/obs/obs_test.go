@@ -144,7 +144,6 @@ func TestChromeTraceParses(t *testing.T) {
 	rec.Record(0.7, RecDrop, 2, 1, 8192)
 	rec.Record(0.8, RecReroute, 0, 2, 0)
 	rec.Record(0.9, RecScenarioEvent, 3, 4, 0)
-	rec.Record(1.0, RecWindowBarrier, 5, 0, 0)
 	rec.Record(1.1, RecTimerFire, 0, 0, 0)
 
 	var buf bytes.Buffer
@@ -155,9 +154,9 @@ func TestChromeTraceParses(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// 7 records + 2 thread_name metadata events.
-	if len(events) != 9 {
-		t.Fatalf("got %d events, want 9", len(events))
+	// 6 records + 2 thread_name metadata events.
+	if len(events) != 8 {
+		t.Fatalf("got %d events, want 8", len(events))
 	}
 	for _, ev := range events {
 		if _, ok := ev["ph"]; !ok {

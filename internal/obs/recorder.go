@@ -27,15 +27,12 @@ const (
 	// RecScenarioEvent: a scenario timeline event applied (A = event
 	// kind ordinal, B = subject link or node, -1 when neither).
 	RecScenarioEvent
-	// RecWindowBarrier: the sharded coordinator drained the cross queues
-	// at a window barrier (A = records drained into this domain).
-	RecWindowBarrier
 	// NumRecKinds sizes dense per-kind tables.
 	NumRecKinds
 )
 
 var recKindNames = [NumRecKinds]string{
-	"tx-start", "deliver", "drop", "timer-fire", "reroute", "scenario-event", "window-barrier",
+	"tx-start", "deliver", "drop", "timer-fire", "reroute", "scenario-event",
 }
 
 func (k RecKind) String() string {
@@ -117,8 +114,6 @@ func FormatRecord(rec Record) string {
 		return fmt.Sprintf("t=%.6f %s flow=%d routes=%d", rec.At, rec.Kind, rec.A, rec.B)
 	case RecScenarioEvent:
 		return fmt.Sprintf("t=%.6f %s kind=%d subject=%d", rec.At, rec.Kind, rec.A, rec.B)
-	case RecWindowBarrier:
-		return fmt.Sprintf("t=%.6f %s drained=%d", rec.At, rec.Kind, rec.A)
 	default:
 		return fmt.Sprintf("t=%.6f %s a=%d b=%d v=%g", rec.At, rec.Kind, rec.A, rec.B, rec.V)
 	}

@@ -62,8 +62,8 @@ func (r *refQueue) remove(id int) {
 
 // TestHeapMatchesSortedReference drives the engine and a sorted-slice
 // reference through the same random interleaving of Schedule, AtFunc
-// (including times in the past), Cancel of arbitrary live timers, Run
-// and RunBefore, with handlers that schedule and cancel in turn. Every
+// (including times in the past), Cancel of arbitrary live timers and
+// Run, with handlers that schedule and cancel in turn. Every
 // fired event must be the reference's front, at the same time, and the
 // heap must stay well-formed after every operation.
 func TestHeapMatchesSortedReference(t *testing.T) {
@@ -137,20 +137,13 @@ func TestHeapMatchesSortedReference(t *testing.T) {
 				schedule()
 			case op < 6:
 				cancel()
-			case op < 8:
+			default:
 				until := e.Now() + float64(rng.Intn(6))*0.25
 				e.Run(until)
 				ref.now = until
 				if len(ref.q) > 0 && ref.q[0].at <= until {
 					t.Fatalf("seed %d: Run(%v) left %+v queued", seed, until, ref.q[0])
 				}
-			default:
-				until := e.Now() + float64(rng.Intn(6))*0.25
-				e.RunBefore(until)
-				if len(ref.q) > 0 && ref.q[0].at < until {
-					t.Fatalf("seed %d: RunBefore(%v) left %+v queued", seed, until, ref.q[0])
-				}
-				ref.now = e.Now()
 			}
 			checkHeap(t, &e)
 			if e.Pending() != len(ref.q) {

@@ -56,6 +56,17 @@ jq_check "empower-scenario envelope" "$bindir/scenario.json" \
 jq_check "empower-scenario scheme rows" "$bindir/scenario.json" \
   '[.result.rows[].scheme] | contains(["EMPoWER", "SP"])'
 
+echo "== negative -shards is a usage error (exit 2)" >&2
+for args in "empower-scenario -scenario examples/scenarios/flaps.json" "empower-testbed -fig 10"; do
+  read -r c rest <<< "$args"
+  rc=0
+  "$bindir/$c" $rest -shards -1 > /dev/null 2> "$bindir/shards.err" || rc=$?
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- '-shards must be >= 0' "$bindir/shards.err"; then
+    echo "e2e: $c -shards -1 exited $rc, want 2 with a -shards usage error" >&2
+    exit 1
+  fi
+done
+
 echo "== empower-route (built-in Figure 1 example)" >&2
 "$bindir/empower-route" -example -n 3 > "$bindir/route.out"
 grep -q '^single-path:' "$bindir/route.out"
