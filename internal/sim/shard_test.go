@@ -1,21 +1,16 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 )
 
-// The shard suite simulates P logical processes, each with local state,
-// periodic local ticks, and occasional messages to its neighbor process
-// arriving after msgDelay. The same workload runs on one engine (the
-// naive reference, messages being ordinary scheduled events) and on one
-// engine per process under the Sharded coordinator with a finite
-// lookahead below msgDelay — per-process trajectories must match the
-// reference exactly, at any worker count.
-
-// msgDelay and the tick intervals are chosen so a message arrival never
-// collides with a local tick: the tie-break between a cross arrival and
-// a simultaneous local event is deliberately out of contract.
-const msgDelay = 0.7703137
+// The shard suite models how a sharded emulation uses the engine: the
+// workload splits into closed shards (here, pairs of processes that
+// message only each other), each shard owns one Engine, and every Run
+// advances all shard engines to the same horizon — in turn with one
+// worker, otherwise shard d on worker d mod W. Shards exchange no
+// events, so no coordination beyond the shared horizon is needed.
 
 type procEntry struct {
 	t float64
@@ -23,9 +18,8 @@ type procEntry struct {
 }
 
 type shardProc struct {
-	sh      *Sharded // nil in the single-engine reference
 	e       *Engine
-	id, n   int
+	id      int
 	peer    *shardProc
 	ticks   int
 	counter int
@@ -33,172 +27,111 @@ type shardProc struct {
 	msgLog  []procEntry
 }
 
+// msgDelay keeps message arrivals off the local tick grid.
+const msgDelay = 0.7703137
+
 func (p *shardProc) tick() {
 	p.counter += p.id + 1
 	p.tickLog = append(p.tickLog, procEntry{p.e.Now(), p.counter})
 	p.ticks++
 	if p.ticks%3 == 0 {
-		if p.sh != nil {
-			p.sh.Cross(p.id, p.peer.id, msgDelay, procMsg, p.peer)
-		} else {
-			p.e.ScheduleFunc(msgDelay, procMsg, p.peer)
-		}
+		p.e.ScheduleFunc(msgDelay, procMsg, p.peer)
 	}
 }
 
-// procMsg records the destination's local counter at arrival time: if the
-// coordinator ever let a shard process local ticks beyond a pending
-// arrival, the recorded counter would run ahead of the reference.
 func procMsg(arg any) {
 	q := arg.(*shardProc)
 	q.counter += 100
 	q.msgLog = append(q.msgLog, procEntry{q.e.Now(), q.counter})
 }
 
-func runProcs(nProcs, workers int, sharded bool, until float64, step float64) []*shardProc {
-	procs := make([]*shardProc, nProcs)
-	var engines []*Engine
-	var shared *Engine
-	if sharded {
-		engines = make([]*Engine, nProcs)
-		for i := range engines {
-			engines[i] = &Engine{}
+// runShards advances every engine to until, as the sharded emulation
+// does.
+func runShards(engines []*Engine, workers int, until float64) {
+	if workers == 1 {
+		for _, e := range engines {
+			e.Run(until)
 		}
-	} else {
-		shared = &Engine{}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for d := w; d < len(engines); d += workers {
+				engines[d].Run(until)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runProcs runs 2*pairs processes, process 2k and 2k+1 forming a closed
+// shard, in Run calls of `step` up to until on `workers` goroutines.
+func runProcs(pairs, workers int, until, step float64) []*shardProc {
+	engines := make([]*Engine, pairs)
+	procs := make([]*shardProc, 2*pairs)
+	for d := range engines {
+		engines[d] = &Engine{}
 	}
 	for i := range procs {
-		procs[i] = &shardProc{id: i, n: nProcs}
-		if sharded {
-			procs[i].e = engines[i]
-		} else {
-			procs[i].e = shared
-		}
-	}
-	var sh *Sharded
-	if sharded {
-		sh = NewSharded(engines, workers)
-		sh.SetLookahead(0.5)
-		for _, p := range procs {
-			p.sh = sh
-		}
+		procs[i] = &shardProc{id: i, e: engines[i/2]}
 	}
 	for i, p := range procs {
-		p.peer = procs[(i+1)%nProcs]
-		p := p
+		p.peer = procs[i^1]
 		p.e.Every(0.1+0.013*float64(p.id), p.tick)
 	}
 	for t := step; t <= until+1e-9; t += step {
-		if sharded {
-			sh.Run(t)
-		} else {
-			shared.Run(t)
-		}
+		runShards(engines, workers, t)
 	}
 	return procs
 }
 
-func sameLogs(t *testing.T, kind string, p, q *shardProc) {
+func sameLogs(t *testing.T, kind string, a, b []procEntry, id int) {
 	t.Helper()
-	pick := func(r *shardProc) []procEntry {
-		if kind == "tick" {
-			return r.tickLog
-		}
-		return r.msgLog
-	}
-	a, b := pick(p), pick(q)
 	if len(a) != len(b) {
-		t.Fatalf("proc %d %s log length %d vs %d", p.id, kind, len(a), len(b))
+		t.Fatalf("proc %d %s log length %d vs %d", id, kind, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("proc %d %s log[%d] = %+v vs %+v", p.id, kind, i, a[i], b[i])
+			t.Fatalf("proc %d %s log[%d] = %+v vs %+v", id, kind, i, a[i], b[i])
 		}
 	}
 }
 
-// TestShardedMatchesSingleEngineReference pins the conservative-window
-// protocol against the naive single-engine run, in the spirit of
-// TestPoolMatchesNaiveReference: every process's trajectory — local tick
-// sequence and message arrival sequence, with the counter values the
-// handlers observed — is identical.
-func TestShardedMatchesSingleEngineReference(t *testing.T) {
-	const n, until = 5, 25.0
-	ref := runProcs(n, 1, false, until, until) // one engine, one Run call
-	for _, workers := range []int{1, 2, 4} {
-		got := runProcs(n, workers, true, until, until)
-		for i := range got {
-			sameLogs(t, "tick", ref[i], got[i])
-			sameLogs(t, "msg", ref[i], got[i])
-		}
-		if len(got[0].msgLog) == 0 {
-			t.Fatal("workload sent no cross-shard messages; the test is vacuous")
-		}
-	}
-}
-
-// TestShardedChunkedRuns checks that many small Run calls (the
-// per-second advancement the emulation benches use) land on the same
-// trajectory as one big Run.
+// TestShardedChunkedRuns checks that many small Run calls over a set of
+// shard engines (the per-second advancement the emulation benches use)
+// land on the same trajectory as one big Run, at any worker count.
 func TestShardedChunkedRuns(t *testing.T) {
-	const n, until = 4, 12.0
-	oneShot := runProcs(n, 2, true, until, until)
-	chunked := runProcs(n, 2, true, until, 0.25)
-	for i := range oneShot {
-		sameLogs(t, "tick", oneShot[i], chunked[i])
-		sameLogs(t, "msg", oneShot[i], chunked[i])
+	const pairs, until = 3, 12.0
+	oneShot := runProcs(pairs, 1, until, until)
+	if len(oneShot[0].msgLog) == 0 {
+		t.Fatal("workload sent no messages; the test is vacuous")
+	}
+	for _, workers := range []int{1, 2} {
+		chunked := runProcs(pairs, workers, until, 0.25)
+		for i := range oneShot {
+			sameLogs(t, "tick", oneShot[i].tickLog, chunked[i].tickLog, i)
+			sameLogs(t, "msg", oneShot[i].msgLog, chunked[i].msgLog, i)
+		}
 	}
 }
 
-// TestShardedClocksClamped: like Engine.Run, a sharded Run leaves every
-// shard clock exactly at `until`, even for shards that had no events.
+// TestShardedClocksClamped: advancing a set of shard engines leaves every
+// clock exactly at `until`, even for shards that had no events.
 func TestShardedClocksClamped(t *testing.T) {
-	engines := []*Engine{{}, {}}
-	sh := NewSharded(engines, 2)
-	engines[0].Schedule(1.0, func() {})
-	sh.Run(3.5)
-	for i, e := range engines {
-		if e.Now() != 3.5 {
-			t.Fatalf("shard %d clock = %g, want 3.5", i, e.Now())
+	for _, workers := range []int{1, 2} {
+		engines := []*Engine{{}, {}}
+		engines[0].Schedule(1.0, func() {})
+		runShards(engines, workers, 3.5)
+		for i, e := range engines {
+			if e.Now() != 3.5 {
+				t.Fatalf("workers=%d: shard %d clock = %g, want 3.5", workers, i, e.Now())
+			}
+			if e.Pending() != 0 {
+				t.Fatalf("workers=%d: shard %d pending = %d, want 0", workers, i, e.Pending())
+			}
 		}
-	}
-	if sh.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", sh.Pending())
-	}
-}
-
-// TestCrossBelowLookaheadPanics: undercutting the lookahead would let a
-// cross event order before already-processed local events — the
-// coordinator refuses loudly.
-func TestCrossBelowLookaheadPanics(t *testing.T) {
-	engines := []*Engine{{}, {}}
-	sh := NewSharded(engines, 1)
-	sh.SetLookahead(0.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Cross below lookahead did not panic")
-		}
-	}()
-	sh.Cross(0, 1, 0.25, func(any) {}, nil)
-}
-
-// TestRunBefore pins the strict-horizon primitive: events exactly at the
-// horizon stay queued and the clock is not clamped forward.
-func TestRunBefore(t *testing.T) {
-	var e Engine
-	var fired []float64
-	e.At(1.0, func() { fired = append(fired, 1.0) })
-	e.At(2.0, func() { fired = append(fired, 2.0) })
-	if n := e.RunBefore(2.0); n != 1 {
-		t.Fatalf("processed %d, want 1", n)
-	}
-	if len(fired) != 1 || fired[0] != 1.0 {
-		t.Fatalf("fired %v, want [1]", fired)
-	}
-	if e.Now() != 1.0 {
-		t.Fatalf("clock = %g, want 1 (no clamp)", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want the horizon event still queued", e.Pending())
 	}
 }
